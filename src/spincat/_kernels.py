@@ -1,27 +1,12 @@
-"""Hot amplitude kernels over the 2^N product space.
+"""Hot amplitude kernels over the 2^N product space, in numpy.
 
-Every kernel has a numba-compiled and a pure-numpy implementation using
-the same accumulation order. popcounts/gather/popcount_sums agree
-bitwise; product_amplitudes may differ in the last bit because the two
-complex-multiply code paths round differently. The numba path is used
-when numba imports and the environment variable SPINCAT_NUMBA is not
-"0"; set SPINCAT_NUMBA=0 to force numpy.
-``benchmarks/bench_kernels.py`` times the two paths against each other.
+perfbench's kernels.* probes time them at n = 20 (`python3 perfbench/run.py`).
 """
-
-import os
 
 import numpy as np
 
-try:
-    from numba import njit
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    njit = None
 
-USE_NUMBA = njit is not None and os.environ.get("SPINCAT_NUMBA", "1") != "0"
-
-
-def popcounts_numpy(n: int) -> np.ndarray:
+def popcounts(n: int) -> np.ndarray:
     """Popcount of every index 0 .. 2^n - 1."""
     table = np.zeros(1, dtype=np.int64)
     for _ in range(n):
@@ -29,97 +14,24 @@ def popcounts_numpy(n: int) -> np.ndarray:
     return table
 
 
-def product_amplitudes_numpy(g_amps: np.ndarray, e_amps: np.ndarray) -> np.ndarray:
+def product_amplitudes(g_amps: np.ndarray, e_amps: np.ndarray) -> np.ndarray:
     """2^n product-state amplitudes; atom j sits at bit j (LSB first)."""
+    g_amps = np.ascontiguousarray(g_amps, dtype=np.complex128)
+    e_amps = np.ascontiguousarray(e_amps, dtype=np.complex128)
     amps = np.ones(1, dtype=np.complex128)
     for j in range(len(g_amps)):
         amps = np.concatenate([amps * g_amps[j], amps * e_amps[j]])
     return amps
 
 
-def gather_numpy(table: np.ndarray, pops: np.ndarray) -> np.ndarray:
+def gather(table: np.ndarray, pops: np.ndarray) -> np.ndarray:
     """out[b] = table[pops[b]]."""
+    table = np.ascontiguousarray(table, dtype=np.complex128)
     return table[pops]
 
 
-def popcount_sums_numpy(amps: np.ndarray, pops: np.ndarray, nbins: int) -> np.ndarray:
+def popcount_sums(amps: np.ndarray, pops: np.ndarray, nbins: int) -> np.ndarray:
     """Sum amplitudes into popcount bins, accumulating in index order."""
     re = np.bincount(pops, weights=amps.real, minlength=nbins)
     im = np.bincount(pops, weights=amps.imag, minlength=nbins)
     return re + 1j * im
-
-
-if njit is not None:
-
-    @njit(cache=True)
-    def popcounts_jit(n):
-        table = np.empty(1 << n, dtype=np.int64)
-        for b in range(1 << n):
-            v = b
-            c = 0
-            while v:
-                v &= v - 1
-                c += 1
-            table[b] = c
-        return table
-
-    @njit(cache=True)
-    def product_amplitudes_jit(g_amps, e_amps):
-        n = g_amps.shape[0]
-        out = np.empty(1 << n, dtype=np.complex128)
-        out[0] = 1.0
-        size = 1
-        # same doubling scheme as the numpy path (equal up to multiply rounding)
-        for j in range(n):
-            for b in range(size):
-                out[size + b] = out[b] * e_amps[j]
-                out[b] = out[b] * g_amps[j]
-            size <<= 1
-        return out
-
-    @njit(cache=True)
-    def gather_jit(table, pops):
-        out = np.empty(pops.shape[0], dtype=np.complex128)
-        for b in range(pops.shape[0]):
-            out[b] = table[pops[b]]
-        return out
-
-    @njit(cache=True)
-    def popcount_sums_jit(amps, pops, nbins):
-        out = np.zeros(nbins, dtype=np.complex128)
-        for b in range(amps.shape[0]):
-            out[pops[b]] += amps[b]
-        return out
-
-else:  # pragma: no cover
-    popcounts_jit = None
-    product_amplitudes_jit = None
-    gather_jit = None
-    popcount_sums_jit = None
-
-
-def popcounts(n: int) -> np.ndarray:
-    if USE_NUMBA:
-        return popcounts_jit(n)
-    return popcounts_numpy(n)
-
-
-def product_amplitudes(g_amps: np.ndarray, e_amps: np.ndarray) -> np.ndarray:
-    g_amps = np.ascontiguousarray(g_amps, dtype=np.complex128)
-    e_amps = np.ascontiguousarray(e_amps, dtype=np.complex128)
-    if USE_NUMBA:
-        return product_amplitudes_jit(g_amps, e_amps)
-    return product_amplitudes_numpy(g_amps, e_amps)
-
-
-def gather(table: np.ndarray, pops: np.ndarray) -> np.ndarray:
-    table = np.ascontiguousarray(table, dtype=np.complex128)
-    if USE_NUMBA:
-        return gather_jit(table, pops)
-    return gather_numpy(table, pops)
-
-
-def popcount_sums(amps: np.ndarray, pops: np.ndarray, nbins: int) -> np.ndarray:
-    if USE_NUMBA:
-        return popcount_sums_jit(np.ascontiguousarray(amps), pops, nbins)
-    return popcount_sums_numpy(amps, pops, nbins)

@@ -2,10 +2,18 @@
 
 Ground truth for everything the fast Dicke-basis path computes: collective
 operators are assembled from per-atom operators, propagation goes through
-an explicit Hermitian eigendecomposition, and embed/project move states
+an explicit eigendecomposition of S+ S-, and embed/project move states
 between the two representations. Optimized for trustworthiness, not speed;
-capacity is capped accordingly (2^20 amplitudes for vectors, 2^12 for
-dense matrices).
+capacity is capped accordingly (2^20 amplitudes for vectors, n = 12 for
+the spectral propagation and the dense test reference).
+
+S- lowers the excitation number (the popcount of the basis index) by one,
+so S+ S- = S-^T S- maps each popcount sector k to itself and is
+diagonalized one real C(n,k) x C(n,k) block at a time, over every
+bitstring of the sector (all spin sectors, not only the symmetric one).
+The blocks come from the same per-atom bit flips as collective_lowering,
+never from the Dicke basis, so the oracle stays independent of the path
+it checks.
 
 Bit convention (contractual, tests serialize states): atom j occupies bit
 j of the basis index, bit value 1 = atom in |e>, so index = sum_j b_j 2^j
@@ -23,7 +31,7 @@ from .dicke import DickeState, check_atom_count, sqrt_binomials
 from .errors import CapacityError, NormalizationError, SubspaceError
 
 FULL_SPACE_MAX = 20  # 2^20 amplitudes
-DENSE_MATRIX_MAX = 12  # dense eigendecomposition stays in seconds
+DENSE_MATRIX_MAX = 12  # largest sector block C(12,6) = 924; cold build ~0.6 s
 
 # Mirrors the cross-representation tolerance: a projection residual above
 # this means the input genuinely leaves the symmetric subspace.
@@ -87,33 +95,61 @@ def product_state(n: int, factors) -> FullState:
     return FullState(n, amps)
 
 
+def _lowering_flips(n: int):
+    """(src, dst) basis indices of each per-atom lowering |g><e|_j, j = 0..n-1."""
+    basis = np.arange(1 << n)
+    for j in range(n):
+        bit = 1 << j
+        src = basis[(basis & bit) != 0]
+        yield src, src & ~bit
+
+
 def collective_lowering(n: int) -> np.ndarray:
-    """Dense matrix of S- = sum_j |g><e|_j; S+ is its conjugate transpose."""
+    """Dense matrix of S- = sum_j |g><e|_j; S+ is its conjugate transpose.
+
+    The dense reference the tests check the sector-blocked propagation
+    against; propagate_full does not use it.
+    """
     n = check_atom_count(n)
     _check_capacity(n, DENSE_MATRIX_MAX, "collective_lowering")
     dim = 1 << n
     mat = np.zeros((dim, dim), dtype=np.complex128)
-    basis = np.arange(dim)
-    for j in range(n):
-        bit = 1 << j
-        src = basis[(basis & bit) != 0]
-        mat[src & ~bit, src] += 1.0
+    for src, dst in _lowering_flips(n):
+        mat[dst, src] += 1.0
     return mat
 
 
 @lru_cache(maxsize=4)
-def _excitation_exchange_eigensystem(n: int):
-    """Eigendecomposition of the Hermitian matrix S+ S-."""
-    lowering = collective_lowering(n)
-    hamiltonian = lowering.conj().T @ lowering
-    eigvals, eigvecs = np.linalg.eigh(hamiltonian)
-    eigvals.setflags(write=False)
-    eigvecs.setflags(write=False)
-    return eigvals, eigvecs
+def _excitation_exchange_eigensystem(n: int) -> tuple:
+    """Eigendecomposition of S+ S-, one excitation sector at a time.
+
+    Returns one (indices, eigvals, eigvecs) per popcount k = 0..n: the
+    basis indices of the sector in increasing order and the real
+    eigensystem of L_k^T L_k over them, L_k being the block of S- from
+    sector k to sector k-1 (L_0 has no rows, so sector 0 is the zero
+    block).
+    """
+    pops = _popcount_table(n)
+    sectors = [np.flatnonzero(pops == k) for k in range(n + 1)]
+    position = np.empty(1 << n, dtype=np.int64)
+    for indices in sectors:
+        position[indices] = np.arange(len(indices))
+    src, dst = (np.concatenate(parts) for parts in zip(*_lowering_flips(n)))
+    src_pops = pops[src]
+    blocks = []
+    for k, indices in enumerate(sectors):
+        flips = src_pops == k
+        block = np.zeros((len(sectors[k - 1]) if k else 0, len(indices)))
+        block[position[dst[flips]], position[src[flips]]] += 1.0
+        eigvals, eigvecs = np.linalg.eigh(block.T @ block)
+        for array in (indices, eigvals, eigvecs):
+            array.setflags(write=False)
+        blocks.append((indices, eigvals, eigvecs))
+    return tuple(blocks)
 
 
 def propagate_full(state: FullState, tau: float) -> FullState:
-    """Apply e^{-i tau S+ S-} by spectral exponentiation.
+    """Apply e^{-i tau S+ S-} by spectral exponentiation, sector by sector.
 
     The spectrum of S+ S- is integral on every spin sector, which the test
     suite verifies; here only unitarity is enforced (norm drift < 1e-10).
@@ -121,9 +157,10 @@ def propagate_full(state: FullState, tau: float) -> FullState:
     if not math.isfinite(tau):
         raise ValueError("tau must be finite")
     _check_capacity(state.n, DENSE_MATRIX_MAX, "propagate_full")
-    eigvals, eigvecs = _excitation_exchange_eigensystem(state.n)
-    coeffs = eigvecs.conj().T @ state.amps
-    out = eigvecs @ (np.exp(-1j * tau * eigvals) * coeffs)
+    out = np.empty_like(state.amps)
+    for indices, eigvals, eigvecs in _excitation_exchange_eigensystem(state.n):
+        coeffs = eigvecs.T @ state.amps[indices]
+        out[indices] = eigvecs @ (np.exp(-1j * tau * eigvals) * coeffs)
     drift = abs(np.linalg.norm(out) - np.linalg.norm(state.amps))
     if drift > 1e-10:
         raise NormalizationError(f"propagate_full norm drift {drift:.3e} exceeds 1e-10")

@@ -1,11 +1,11 @@
 """Shared helpers: independent brute-force routes and frozen fixtures.
 
-The naive_* functions rebuild states by direct enumeration (itertools over
-bitstrings, per-index popcounts) without touching the package's kernels,
-so they stay independent of the code paths they check.
+The naive_* functions rebuild states by direct enumeration (bit j of every
+basis index read as (index >> j) & 1, popcounts as the sum of those bits)
+without touching the package's kernels, so they stay independent of the
+code paths they check.
 """
 
-import itertools
 import math
 
 import numpy as np
@@ -28,23 +28,20 @@ DEPHASED_FLAT_VALUE_N3 = 0.3125  # C(6,3)/4^3, the beta-independent dephased lev
 
 
 def naive_product_amps(pairs):
-    """Product-state amplitudes by explicit bitstring enumeration."""
-    n = len(pairs)
-    amps = np.zeros(2**n, dtype=complex)
-    for bits in itertools.product((0, 1), repeat=n):
-        idx = sum(b << j for j, b in enumerate(bits))
-        value = 1.0 + 0.0j
-        for (g_amp, e_amp), bit in zip(pairs, bits):
-            value *= e_amp if bit else g_amp
-        amps[idx] = value
+    """Product-state amplitudes: amps[idx] = prod_j (e_j if bit j is set else g_j)."""
+    index = np.arange(2 ** len(pairs))
+    amps = np.ones(index.shape, dtype=complex)
+    for j, (g_amp, e_amp) in enumerate(pairs):
+        amps *= np.where((index >> j) & 1, complex(e_amp), complex(g_amp))
     return amps
 
 
 def naive_dicke_from_full(n, full_amps):
     """Bin full-space amplitudes by popcount: c_k = sum / sqrt(C(n,k))."""
+    index = np.arange(2**n)
+    pops = sum((index >> j) & 1 for j in range(n))
     coeffs = np.zeros(n + 1, dtype=complex)
-    for idx in range(2**n):
-        coeffs[bin(idx).count("1")] += full_amps[idx]
+    np.add.at(coeffs, pops, full_amps)
     for k in range(n + 1):
         coeffs[k] /= math.sqrt(math.comb(n, k))
     return coeffs

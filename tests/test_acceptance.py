@@ -64,11 +64,11 @@ def test_acceptance_1_equivalence_theorem():
 
 
 def test_acceptance_2_oracle_equivalence():
-    # N <= 10, 20 random (theta, phi, tau) each: Dicke-diagonal propagation
+    # N <= 12, 20 random (theta, phi, tau) each: Dicke-diagonal propagation
     # vs full-space spectral exponentiation to 1e-9
     rng = np.random.default_rng(101)
     worst = 0.0
-    for n in range(1, 11):
+    for n in range(1, 13):
         for _ in range(20):
             theta = rng.uniform(0.0, PI)
             phi = rng.uniform(-PI, PI)
@@ -81,7 +81,7 @@ def test_acceptance_2_oracle_equivalence():
     _report(
         "acceptance 2 (oracle equivalence)",
         ok,
-        f"max amplitude error {worst:.2e} over 200 random triples (tol 1e-9)",
+        f"max amplitude error {worst:.2e} over 240 random triples (tol 1e-9)",
     )
 
 

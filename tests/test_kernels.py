@@ -1,23 +1,12 @@
 import math
-import subprocess
-import sys
 
 import numpy as np
-import pytest
 
 from spincat import _kernels
 
-needs_numba = pytest.mark.skipif(_kernels.njit is None, reason="numba not installed")
-
-
-def _random_factors(rng, n):
-    raw = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
-    raw /= np.linalg.norm(raw, axis=1, keepdims=True)
-    return np.ascontiguousarray(raw[:, 0]), np.ascontiguousarray(raw[:, 1])
-
 
 def test_popcounts_numpy_values():
-    table = _kernels.popcounts_numpy(3)
+    table = _kernels.popcounts(3)
     np.testing.assert_array_equal(table, [0, 1, 1, 2, 1, 2, 2, 3])
 
 
@@ -25,37 +14,8 @@ def test_product_amplitudes_numpy_bit_order():
     # atom 0 = least significant bit
     g = np.array([1.0, 0.6], dtype=np.complex128)
     e = np.array([2.0j, 0.8], dtype=np.complex128)
-    amps = _kernels.product_amplitudes_numpy(g, e)
+    amps = _kernels.product_amplitudes(g, e)
     np.testing.assert_allclose(amps, [0.6, 1.2j, 0.8, 1.6j])
-
-
-@needs_numba
-def test_jit_paths_match_numpy():
-    rng = np.random.default_rng(51)
-    for n in (1, 3, 6, 10):
-        np.testing.assert_array_equal(
-            _kernels.popcounts_jit(n), _kernels.popcounts_numpy(n)
-        )
-        g, e = _random_factors(rng, n)
-        # complex-multiply codegen differs between the paths by <= 1 ulp
-        np.testing.assert_allclose(
-            _kernels.product_amplitudes_jit(g, e),
-            _kernels.product_amplitudes_numpy(g, e),
-            rtol=1e-14,
-            atol=1e-16,
-        )
-        pops = _kernels.popcounts_numpy(n)
-        amps = _kernels.product_amplitudes_numpy(g, e)
-        table = np.ascontiguousarray(
-            rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
-        )
-        np.testing.assert_array_equal(
-            _kernels.gather_jit(table, pops), _kernels.gather_numpy(table, pops)
-        )
-        np.testing.assert_array_equal(
-            _kernels.popcount_sums_jit(amps, pops, n + 1),
-            _kernels.popcount_sums_numpy(amps, pops, n + 1),
-        )
 
 
 def test_dispatchers_produce_valid_state():
@@ -65,17 +25,3 @@ def test_dispatchers_produce_valid_state():
     assert abs(np.linalg.norm(amps) - 1.0) < 1e-12
     sums = _kernels.popcount_sums(amps, _kernels.popcounts(4), 5)
     assert sums.shape == (5,)
-
-
-def test_env_flag_forces_numpy_path():
-    import os
-
-    code = (
-        "import spincat._kernels as k; "
-        "import sys; sys.exit(0 if not k.USE_NUMBA else 1)"
-    )
-    env = dict(os.environ, SPINCAT_NUMBA="0")
-    result = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True
-    )
-    assert result.returncode == 0, result.stderr.decode()

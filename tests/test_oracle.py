@@ -21,6 +21,7 @@ from spincat import (
     propagate,
     propagate_full,
 )
+from spincat.oracle import _excitation_exchange_eigensystem
 
 PI = math.pi
 ROOT_HALF = 1.0 / math.sqrt(2)
@@ -121,11 +122,16 @@ def test_exchange_matrix_dicke_eigenvalues():
 
 
 def test_exchange_spectrum_is_integral():
-    # holds on every spin sector, not just the symmetric one
+    # holds on every spin sector, not just the symmetric one; the sector
+    # blocks propagate_full diagonalizes must carry the whole dense spectrum
     for n in (1, 2, 4, 6, 8):
         lowering = collective_lowering(n)
         eigvals = np.linalg.eigvalsh(lowering.conj().T @ lowering)
         assert np.max(np.abs(eigvals - np.round(eigvals))) < 1e-9
+        blocks = _excitation_exchange_eigensystem(n)
+        sector_eigvals = np.sort(np.concatenate([vals for _, vals, _ in blocks]))
+        assert np.max(np.abs(sector_eigvals - eigvals)) < 1e-9
+        assert np.max(np.abs(sector_eigvals - np.round(sector_eigvals))) < 1e-9
 
 
 def test_propagate_full_identity_at_zero():
@@ -154,9 +160,25 @@ def test_propagate_full_capacity():
         propagate_full(FullState(13, np.eye(1, 2**13)[0]), 1.0)
 
 
+def test_propagate_full_matches_dense_reference_on_every_sector():
+    # random states over the whole 2^n space, not only the symmetric
+    # subspace, against a dense eigh of S+ S-
+    rng = np.random.default_rng(27)
+    for n in range(1, 9):
+        lowering = collective_lowering(n)
+        eigvals, eigvecs = np.linalg.eigh(lowering.conj().T @ lowering)
+        amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+        state = FullState(n, amps / np.linalg.norm(amps))
+        for tau in (0.4, PI / 2, 5.3):
+            coeffs = eigvecs.conj().T @ state.amps
+            dense = eigvecs @ (np.exp(-1j * tau * eigvals) * coeffs)
+            out = propagate_full(state, tau)
+            assert np.max(np.abs(out.amps - dense)) < 1e-10
+
+
 def test_propagate_full_matches_dicke_propagation():
     rng = np.random.default_rng(23)
-    for n in range(1, 11):
+    for n in range(1, 13):
         theta, phi = rng.uniform(0, PI), rng.uniform(-PI, PI)
         tau = rng.uniform(0, 2 * PI)
         state = coherent_state(n, theta, phi)
