@@ -40,13 +40,10 @@ from .oracle import (
 )
 from .ramsey import (
     FringeSeries,
-    MixtureSpec,
     beta_grid,
     compare_channels,
     detection_probability,
-    fringe_sweep,
     harmonic_magnitudes,
-    mixture_probability,
 )
 
 __version__ = "0.1.0"
@@ -62,7 +59,6 @@ __all__ = [
     "FULL_SPACE_MAX",
     "FringeSeries",
     "FullState",
-    "MixtureSpec",
     "NormalizationError",
     "SubspaceError",
     "beta_grid",
@@ -76,11 +72,9 @@ __all__ = [
     "detection_probability",
     "embed",
     "equivalence_report",
-    "fringe_sweep",
     "ghz_seed",
     "ghz_state",
     "harmonic_magnitudes",
-    "mixture_probability",
     "norm",
     "overlap",
     "product_state",

@@ -12,7 +12,7 @@ import sys
 
 import numpy as np
 
-from .dicke import check_atom_count, coherent_state, overlap
+from .dicke import CROSS_REP_TOL, check_atom_count, coherent_state, overlap
 from .dynamics import (
     PHASE_TOL,
     equivalence_report,
@@ -21,7 +21,7 @@ from .dynamics import (
     wrap_phase,
 )
 from .errors import CapacityError, NormalizationError, SubspaceError
-from .oracle import FULL_SPACE_MAX, project
+from .oracle import FULL_SPACE_MAX, _check_capacity, project
 from .ramsey import compare_channels, harmonic_magnitudes
 
 EXIT_OK = 0
@@ -101,8 +101,7 @@ def _cmd_ghz_fidelity(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     check_atom_count(args.n)
-    if args.n > FULL_SPACE_MAX:
-        raise CapacityError(f"verify supports n <= {FULL_SPACE_MAX}, got n={args.n}")
+    _check_capacity(args.n, FULL_SPACE_MAX, "verify")
     tol = args.tolerance
     print(
         f"{'n':>3}  {'fid(prop,cat)':>19}  {'fid(prop,ghz)':>19}  "
@@ -221,9 +220,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--tolerance",
         type=float,
-        default=1e-10,
-        help="fidelity/residual tolerance (default 1e-10; phases are always "
-        "checked to 1e-9)",
+        default=CROSS_REP_TOL,
+        # PHASE_TOL spelled out: f"{PHASE_TOL:g}" would print 1e-09
+        help=f"fidelity/residual tolerance (default {CROSS_REP_TOL:g}; phases are "
+        "always checked to 1e-9)",
     )
     p.set_defaults(func=_cmd_verify)
 
@@ -235,8 +235,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--tolerance",
         type=float,
-        default=1e-10,
-        help="exit 0 iff the fidelity is within this of 1 (default 1e-10)",
+        default=CROSS_REP_TOL,
+        help=f"exit 0 iff the fidelity is within this of 1 (default {CROSS_REP_TOL:g})",
     )
     _add_angle_flags(p, ["theta", "phi", "tau"])
     p.set_defaults(func=_cmd_ghz_fidelity)

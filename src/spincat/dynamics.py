@@ -65,6 +65,19 @@ def ghz_seed(n: int) -> DickeState:
     return DickeState(n, amps)
 
 
+def cat_branches(n: int, theta: float, phi: float) -> tuple[DickeState, DickeState]:
+    """The two coherent branches |theta, phi - pi(n-1)/2>, |theta, phi - pi(n-3)/2>.
+
+    |theta, phi> evolved to tau = pi/2 is a superposition of these
+    (cat_state); their equal-weight incoherent mixture is the Ramsey
+    mixture channel at the cat time.
+    """
+    return (
+        coherent_state(n, theta, phi - math.pi * (n - 1) / 2),
+        coherent_state(n, theta, phi - math.pi * (n - 3) / 2),
+    )
+
+
 def cat_state(n: int, theta: float, phi: float) -> DickeState:
     """Atomic cat state reached at tau = pi/2 from |theta, phi>.
 
@@ -79,8 +92,7 @@ def cat_state(n: int, theta: float, phi: float) -> DickeState:
     branches, e.g. theta = pi/2 or large-n near-orthogonality). Non-
     orthogonal branches raise instead of guessing a normalization.
     """
-    branch_a = coherent_state(n, theta, phi - math.pi * (n - 1) / 2)
-    branch_b = coherent_state(n, theta, phi - math.pi * (n - 3) / 2)
+    branch_a, branch_b = cat_branches(n, theta, phi)
     cross = overlap(branch_a, branch_b)
     if abs(cross) > BRANCH_ORTHO_TOL:
         raise NormalizationError(

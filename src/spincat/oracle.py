@@ -27,15 +27,17 @@ from functools import lru_cache
 import numpy as np
 
 from . import _kernels
-from .dicke import DickeState, check_atom_count, sqrt_binomials
+from .dicke import (
+    ALGEBRAIC_TOL,
+    CROSS_REP_TOL,
+    DickeState,
+    check_atom_count,
+    sqrt_binomials,
+)
 from .errors import CapacityError, NormalizationError, SubspaceError
 
 FULL_SPACE_MAX = 20  # 2^20 amplitudes
 DENSE_MATRIX_MAX = 12  # largest sector block C(12,6) = 924; cold build ~0.6 s
-
-# Mirrors the cross-representation tolerance: a projection residual above
-# this means the input genuinely leaves the symmetric subspace.
-SUBSPACE_TOL = 1e-10
 
 
 def _check_capacity(n: int, limit: int, what: str) -> None:
@@ -85,7 +87,7 @@ def product_state(n: int, factors) -> FullState:
         raise ValueError(f"expected {n} (g_amp, e_amp) pairs, got shape {pairs.shape}")
     pair_norms = np.abs(pairs[:, 0]) ** 2 + np.abs(pairs[:, 1]) ** 2
     # written so that a NaN factor also fails the check
-    good = np.abs(pair_norms - 1.0) <= 1e-12
+    good = np.abs(pair_norms - 1.0) <= ALGEBRAIC_TOL
     if not good.all():
         worst = int(np.argmin(good))
         raise NormalizationError(
@@ -162,8 +164,10 @@ def propagate_full(state: FullState, tau: float) -> FullState:
         coeffs = eigvecs.T @ state.amps[indices]
         out[indices] = eigvecs @ (np.exp(-1j * tau * eigvals) * coeffs)
     drift = abs(np.linalg.norm(out) - np.linalg.norm(state.amps))
-    if drift > 1e-10:
-        raise NormalizationError(f"propagate_full norm drift {drift:.3e} exceeds 1e-10")
+    if drift > CROSS_REP_TOL:
+        raise NormalizationError(
+            f"propagate_full norm drift {drift:.3e} exceeds {CROSS_REP_TOL:g}"
+        )
     return FullState(state.n, out)
 
 
@@ -204,7 +208,7 @@ def project(state: FullState) -> tuple[DickeState, float]:
     roots = sqrt_binomials(n)
     coeffs = _kernels.popcount_sums(state.amps, pops, n + 1) / roots
     residual = float(np.linalg.norm(state.amps - _kernels.gather(coeffs / roots, pops)))
-    if residual >= SUBSPACE_TOL:
+    if residual >= CROSS_REP_TOL:
         raise SubspaceError(
             f"state is not permutation symmetric: projection residual {residual:.3e}"
         )

@@ -21,7 +21,7 @@ from .dicke import (
     norm,
     overlap,
 )
-from .dynamics import CAT_TIME, propagate
+from .dynamics import CAT_TIME, cat_branches, propagate
 from .errors import NormalizationError
 
 
@@ -44,59 +44,15 @@ def beta_grid(beta_min: float, beta_max: float, steps: int) -> np.ndarray:
     return np.linspace(beta_min, beta_max, steps, endpoint=False)
 
 
-def fringe_sweep(
-    state: DickeState, alpha: float, beta_min: float, beta_max: float, steps: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Detection probability of one state over a beta grid.
-
-    Returns (betas, probabilities). Each point is the plain
-    detection_probability at (alpha, beta_i), so the sweep is
-    deterministic and embarrassingly parallel.
-    """
-    betas = beta_grid(beta_min, beta_max, steps)
-    probs = np.array([detection_probability(state, alpha, b) for b in betas])
-    return betas, probs
-
-
-@dataclass(frozen=True)
-class MixtureSpec:
-    """Classical mixture of Dicke states: ((weight, state), ...).
-
-    Weights must be nonnegative and sum to 1 within 1e-12; all states must
-    share the same atom count.
-    """
-
-    branches: tuple
-
-    def __post_init__(self):
-        branches = tuple((float(w), s) for w, s in self.branches)
-        if not branches:
-            raise ValueError("mixture needs at least one branch")
-        # comparisons phrased so NaN weights fail them too
-        if not all(w >= 0.0 for w, _ in branches):
-            raise ValueError("mixture weights must be nonnegative")
-        total = math.fsum(w for w, _ in branches)
-        if not abs(total - 1.0) <= 1e-12:
-            raise ValueError(f"mixture weights must sum to 1, got {total!r}")
-        counts = {s.n for _, s in branches}
-        if len(counts) != 1:
-            raise ValueError(f"mixture mixes different atom counts: {sorted(counts)}")
-        object.__setattr__(self, "branches", branches)
-
-    @property
-    def n(self) -> int:
-        return self.branches[0][1].n
-
-
-def mixture_probability(mixture: MixtureSpec, alpha: float, beta: float) -> float:
-    """Detection probability of a classical mixture.
+# perfbench's traced run swaps this module attribute by name to time the
+# mixture sweeps, which is why compare_channels calls it once per beta.
+def mixture_probability(branches, alpha: float, beta: float) -> float:
+    """Detection probability of a classical mixture ((weight, state), ...).
 
     fsum makes the accumulation exact, so the result is independent of
     branch order.
     """
-    return math.fsum(
-        w * detection_probability(s, alpha, beta) for w, s in mixture.branches
-    )
+    return math.fsum(w * detection_probability(s, alpha, beta) for w, s in branches)
 
 
 @dataclass(frozen=True)
@@ -128,28 +84,19 @@ class FringeSeries:
             channel = getattr(self, name)
             if channel.shape != self.betas.shape:
                 raise ValueError(f"{name} length does not match the beta grid")
-            if not np.all((channel >= 0.0) & (channel <= 1.0 + 1e-12)):
-                raise ValueError(f"{name} contains values outside [0, 1 + 1e-12]")
+            if not np.all((channel >= 0.0) & (channel <= 1.0 + ALGEBRAIC_TOL)):
+                raise ValueError(
+                    f"{name} contains values outside [0, 1 + {ALGEBRAIC_TOL:g}]"
+                )
 
 
-def _cat_branch_mixture(n: int, theta: float, phi: float) -> MixtureSpec:
-    return MixtureSpec(
-        (
-            (0.5, coherent_state(n, theta, phi - math.pi * (n - 1) / 2)),
-            (0.5, coherent_state(n, theta, phi - math.pi * (n - 3) / 2)),
-        )
-    )
-
-
-def _dephased_mixture(state: DickeState) -> MixtureSpec:
+def _dephased_mixture(state: DickeState) -> tuple:
     """Diagonal-in-k mixture of a state (all k-coherences dropped)."""
     weights = np.abs(state.amps) ** 2
-    branches = []
-    for k in range(state.n + 1):
-        basis = np.zeros(state.n + 1, dtype=np.complex128)
-        basis[k] = 1.0
-        branches.append((float(weights[k]), DickeState(state.n, basis)))
-    return MixtureSpec(tuple(branches))
+    basis = np.eye(state.n + 1)
+    return tuple(
+        (float(w), DickeState(state.n, row)) for w, row in zip(weights, basis)
+    )
 
 
 def compare_channels(
@@ -182,7 +129,7 @@ def compare_channels(
         raise NormalizationError("evolved first-zone state lost normalization")
     betas = beta_grid(beta_min, beta_max, steps)
     if tau == CAT_TIME:
-        mixture = _cat_branch_mixture(n, theta, phi)
+        mixture = tuple((0.5, branch) for branch in cat_branches(n, theta, phi))
     else:
         mixture = _dephased_mixture(evolved)
     p_coherent = np.array([detection_probability(evolved, alpha, b) for b in betas])

@@ -1,9 +1,11 @@
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 
+import spincat
 from spincat import compare_channels
 from spincat.cli import main
 
@@ -15,6 +17,8 @@ def test_module_entry_point():
         [sys.executable, "-m", "spincat", "verify", "--n", "2"],
         capture_output=True,
         text=True,
+        # the child imports the same spincat as this process, installed or not
+        cwd=Path(spincat.__file__).parents[1],
     )
     assert result.returncode == 0, result.stderr
     assert "all n = 1..2 pass" in result.stdout

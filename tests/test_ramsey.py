@@ -13,8 +13,8 @@ from conftest import (
 )
 
 from spincat import (
+    CAT_TIME,
     DickeState,
-    MixtureSpec,
     beta_grid,
     cat_state,
     coherent_overlap,
@@ -22,10 +22,9 @@ from spincat import (
     compare_channels,
     detection_probability,
     embed,
-    fringe_sweep,
     harmonic_magnitudes,
-    mixture_probability,
 )
+from spincat.ramsey import mixture_probability
 
 PI = math.pi
 
@@ -91,7 +90,8 @@ def test_fringe_flat_for_all_ground():
     alpha = 1.1
     ground = np.zeros(n + 1)
     ground[0] = 1.0
-    _, probs = fringe_sweep(DickeState(n, ground), alpha, -PI, PI, 64)
+    state = DickeState(n, ground)
+    probs = [detection_probability(state, alpha, b) for b in beta_grid(-PI, PI, 64)]
     expected = math.cos(alpha / 2) ** (2 * n)
     np.testing.assert_allclose(probs, expected, atol=1e-12)
 
@@ -100,14 +100,16 @@ def test_fringe_single_lobe_coherent_input():
     # theta = alpha = pi/2: p(beta) = cos^{2n}((beta - phi)/2)
     n, phi = 3, 0.4
     state = coherent_state(n, PI / 2, phi)
-    betas, probs = fringe_sweep(state, PI / 2, -PI, PI, 128)
+    betas = beta_grid(-PI, PI, 128)
+    probs = np.array([detection_probability(state, PI / 2, b) for b in betas])
     expected = np.cos((betas - phi) / 2) ** (2 * n)
     assert np.max(np.abs(probs - expected)) < 1e-12
 
 
 def test_fringe_cat_matches_product_space_sweep():
     cat = cat_state(3, PI / 2, -PI / 2)
-    betas, probs = fringe_sweep(cat, PI / 2, -PI, PI, 256)
+    betas = beta_grid(-PI, PI, 256)
+    probs = np.array([detection_probability(cat, PI / 2, b) for b in betas])
     ket = embed(cat)
     slow = np.array(
         [
@@ -118,21 +120,9 @@ def test_fringe_cat_matches_product_space_sweep():
     assert np.max(np.abs(probs - slow)) < 1e-10
 
 
-def test_mixture_validation():
-    state = coherent_state(2, 1.0, 0.0)
-    with pytest.raises(ValueError):
-        MixtureSpec(((0.5, state), (0.4, state)))  # sums to 0.9
-    with pytest.raises(ValueError):
-        MixtureSpec(((-0.2, state), (1.2, state)))
-    with pytest.raises(ValueError):
-        MixtureSpec(((math.nan, state), (0.5, state)))
-    with pytest.raises(ValueError):
-        MixtureSpec(((0.5, state), (0.5, coherent_state(3, 1.0, 0.0))))
-
-
 def test_mixture_single_branch():
     state = coherent_state(3, 1.0, 0.5)
-    mix = MixtureSpec(((1.0, state),))
+    mix = ((1.0, state),)
     assert mixture_probability(mix, 0.9, -0.2) == detection_probability(
         state, 0.9, -0.2
     )
@@ -140,11 +130,9 @@ def test_mixture_single_branch():
 
 def test_mixture_antipodal_half():
     phi = 0.3
-    mix = MixtureSpec(
-        (
-            (0.5, coherent_state(4, PI / 2, phi)),
-            (0.5, coherent_state(4, PI / 2, phi + PI)),
-        )
+    mix = (
+        (0.5, coherent_state(4, PI / 2, phi)),
+        (0.5, coherent_state(4, PI / 2, phi + PI)),
     )
     assert abs(mixture_probability(mix, PI / 2, phi) - 0.5) < 1e-12
 
@@ -154,8 +142,8 @@ def test_mixture_order_invariant():
         (0.25, coherent_state(3, 0.9, 0.1)),
         (0.75, coherent_state(3, 2.0, -1.4)),
     )
-    forward = mixture_probability(MixtureSpec(branches), 1.0, 0.6)
-    reverse = mixture_probability(MixtureSpec(branches[::-1]), 1.0, 0.6)
+    forward = mixture_probability(branches, 1.0, 0.6)
+    reverse = mixture_probability(branches[::-1], 1.0, 0.6)
     assert forward == reverse  # fsum makes this exact
 
 
@@ -181,6 +169,48 @@ def test_compare_channels_even_n_runs():
 def test_compare_channels_dephased_mixture_is_flat():
     series = compare_channels(3, PI / 2, -PI / 2, 1.0, PI / 2, -PI, PI, 64)
     np.testing.assert_allclose(series.p_mixture, DEPHASED_FLAT_VALUE_N3, atol=1e-12)
+
+
+def _dephased_level(n, theta, alpha):
+    """sum_k s_k(alpha)^2 |c_k|^2 for an evolved |theta, phi> (any tau, phi)."""
+    return math.fsum(
+        math.comb(n, k) ** 2
+        * (math.cos(alpha / 2) * math.cos(theta / 2)) ** (2 * (n - k))
+        * (math.sin(alpha / 2) * math.sin(theta / 2)) ** (2 * k)
+        for k in range(n + 1)
+    )
+
+
+def test_mixture_channel_matches_closed_forms_up_to_n40():
+    rng = np.random.default_rng(44)
+    for _ in range(12):
+        n = int(rng.integers(1, 41))
+        theta, phi = rng.uniform(0, PI), rng.uniform(-PI, PI)
+        alpha, tau = rng.uniform(0, PI), rng.uniform(0, 2 * PI)
+        cat = compare_channels(n, theta, phi, CAT_TIME, alpha, -PI, PI, 16)
+        # equal-weight mixture of |theta, phi - pi(n-1)/2> and |theta, phi - pi(n-3)/2>
+        expected = [
+            0.5
+            * sum(
+                abs(coherent_overlap(n, alpha, b, theta, phi - PI * (n - m) / 2)) ** 2
+                for m in (1, 3)
+            )
+            for b in cat.betas
+        ]
+        assert np.max(np.abs(cat.p_mixture - expected)) < 1e-12
+        off = compare_channels(n, theta, phi, tau, alpha, -PI, PI, 16)
+        level = _dephased_level(n, theta, alpha)
+        assert np.max(np.abs(off.p_mixture - level)) < 1e-12
+
+
+def test_cat_mixture_needs_tau_exactly_cat_time():
+    # tau = pi/2 + 2 pi reaches the same state, but only exact equality
+    # selects the cat-branch mixture; any other tau gets the dephased one
+    exact = compare_channels(3, PI / 2, -PI / 2, CAT_TIME, PI / 2, -PI, PI, 64)
+    later = compare_channels(3, PI / 2, -PI / 2, CAT_TIME + 2 * PI, PI / 2, -PI, PI, 64)
+    assert np.max(np.abs(later.p_coherent - exact.p_coherent)) < 1e-12
+    np.testing.assert_allclose(later.p_mixture, DEPHASED_FLAT_VALUE_N3, atol=1e-12)
+    assert np.max(np.abs(exact.p_mixture - DEPHASED_FLAT_VALUE_N3)) > 0.1
 
 
 def test_channels_probability_bounds_and_periodicity():
