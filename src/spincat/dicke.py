@@ -104,19 +104,21 @@ def coherent_state(n: int, theta: float, phi: float) -> DickeState:
         Unit-norm state (exactly, up to rounding).
     """
     n = check_atom_count(n)
-    if not (math.isfinite(theta) and math.isfinite(phi)):
+    return DickeState(n, _coherent_amps(n, theta, phi))
+
+
+def _coherent_amps(n: int, theta: float, phi) -> np.ndarray:
+    """coherent_state's amplitudes, shape np.shape(phi) + (n+1,), built in place."""
+    phi = np.asarray(phi, dtype=np.float64)[..., None]
+    if not (math.isfinite(theta) and np.isfinite(phi).all()):
         raise ValueError("theta and phi must be finite")
     k = np.arange(n + 1)
-    c = math.cos(theta / 2)
-    s = math.sin(theta / 2)
-    amps = (
-        np.exp(1j * n * phi)
-        * sqrt_binomials(n)
-        * np.power(c, n - k)
-        * np.power(s, k)
-        * np.exp(-1j * k * phi)
-    )
-    return DickeState(n, amps)
+    amps = np.exp(1j * n * phi) * sqrt_binomials(n)
+    amps *= np.power(math.cos(theta / 2), n - k)
+    amps *= np.power(math.sin(theta / 2), k)
+    phases = -1j * k * phi
+    amps *= np.exp(phases, out=phases)
+    return amps
 
 
 def overlap(a: DickeState, b: DickeState) -> complex:

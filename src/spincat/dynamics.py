@@ -37,10 +37,6 @@ from .oracle import FULL_SPACE_MAX, FullState, _check_capacity, product_state, p
 # 2*pi recurrence).
 CAT_TIME = math.pi / 2
 
-# Two coherent branches count as orthogonal when their overlap magnitude
-# (|cos theta|^N for the cat branches) is below this.
-BRANCH_ORTHO_TOL = 1e-9
-
 # Bound on measured-vs-expected global phase in verification reports.
 PHASE_TOL = 1e-9
 
@@ -87,29 +83,17 @@ def cat_state(n: int, theta: float, phi: float) -> DickeState:
                                   + e^{-i pi/4} |theta, phi - pi(n-3)/2> ]
 
     with each branch carrying the coherent-state convention phase
-    e^{i n phi_branch}. The branch overlap is (-1)^n cos^n(theta); the
-    state is only returned when that magnitude is below 1e-9 (orthogonal
-    branches, e.g. theta = pi/2 or large-n near-orthogonality). Non-
-    orthogonal branches raise instead of guessing a normalization.
+    e^{i n phi_branch}. It is exact and unit-norm for every theta: the
+    overlap (-1)^n cos^n(theta) is real, so the norm's cross term vanishes.
     """
     branch_a, branch_b = cat_branches(n, theta, phi)
-    cross = overlap(branch_a, branch_b)
-    if abs(cross) > BRANCH_ORTHO_TOL:
-        raise NormalizationError(
-            f"cat branches are not orthogonal: |<a|b>| = {abs(cross):.3e} "
-            f"(|cos theta|^n); the two-branch form is defined for "
-            f"(near-)orthogonal branches only"
-        )
     eighth_turn = (1.0 + 1.0j) / math.sqrt(2)  # e^{i pi/4}
     amps = (
         I_POWERS[(-n) % 4]  # e^{-i n pi/2}, exact
         / math.sqrt(2)
         * (eighth_turn * branch_a.amps + eighth_turn.conjugate() * branch_b.amps)
     )
-    state = DickeState(n, amps)
-    if abs(norm(state) - 1.0) > BRANCH_ORTHO_TOL:
-        raise NormalizationError(f"cat state norm {norm(state)!r} deviates from 1")
-    return state
+    return DickeState(n, amps)
 
 
 def ghz_state(n: int) -> FullState:

@@ -16,19 +16,33 @@ import numpy as np
 from .dicke import (
     ALGEBRAIC_TOL,
     DickeState,
+    _coherent_amps,
     check_atom_count,
     coherent_state,
     norm,
-    overlap,
 )
 from .dynamics import CAT_TIME, cat_branches, propagate
 from .errors import NormalizationError
 
 
-def detection_probability(state: DickeState, alpha: float, beta: float) -> float:
-    """Probability |<alpha,beta|state>|^2 of an all-ground detection."""
-    bra = coherent_state(state.n, alpha, beta)
-    return float(abs(overlap(bra, state)) ** 2)
+def _probabilities(kets: np.ndarray, state: DickeState):
+    """|<ket|state>|^2 per row of kets (a float for a single row).
+
+    vecdot sums a row as overlap's vdot does, and hypot and float_power are
+    the libm calls behind abs() and ** on Python numbers (np.abs and ** on
+    arrays round differently), so a row keeps the bits of the scalar path.
+    """
+    z = np.vecdot(kets, state.amps)
+    p = np.float_power(np.hypot(z.real, z.imag), 2)
+    return float(p) if p.ndim == 0 else p
+
+
+def detection_probability(state: DickeState, alpha: float, beta):
+    """Probability |<alpha,beta|state>|^2 of an all-ground detection.
+
+    A scalar beta gives a float, an array of betas an array of its shape.
+    """
+    return _probabilities(_coherent_amps(state.n, alpha, beta), state)
 
 
 def beta_grid(beta_min: float, beta_max: float, steps: int) -> np.ndarray:
@@ -44,15 +58,19 @@ def beta_grid(beta_min: float, beta_max: float, steps: int) -> np.ndarray:
     return np.linspace(beta_min, beta_max, steps, endpoint=False)
 
 
-# perfbench's traced run swaps this module attribute by name to time the
-# mixture sweeps, which is why compare_channels calls it once per beta.
-def mixture_probability(branches, alpha: float, beta: float) -> float:
+def mixture_probability(branches, alpha: float, beta):
     """Detection probability of a classical mixture ((weight, state), ...).
 
-    fsum makes the accumulation exact, so the result is independent of
-    branch order.
+    beta may be an array, as for detection_probability; the states
+    |alpha, beta> are built once for all branches. For two branches the
+    result does not depend on their order.
     """
-    return math.fsum(w * detection_probability(s, alpha, beta) for w, s in branches)
+    total, kets = 0.0, None
+    for weight, state in branches:
+        if kets is None:
+            kets = _coherent_amps(state.n, alpha, beta)
+        total = total + weight * _probabilities(kets, state)
+    return total
 
 
 @dataclass(frozen=True)
@@ -90,13 +108,10 @@ class FringeSeries:
                 )
 
 
-def _dephased_mixture(state: DickeState) -> tuple:
-    """Diagonal-in-k mixture of a state (all k-coherences dropped)."""
-    weights = np.abs(state.amps) ** 2
-    basis = np.eye(state.n + 1)
-    return tuple(
-        (float(w), DickeState(state.n, row)) for w, row in zip(weights, basis)
-    )
+def _dephased_mixture(state: DickeState):
+    """Diagonal-in-k mixture of a state, yielded one basis state at a time."""
+    for k, weight in enumerate(np.abs(state.amps) ** 2):
+        yield float(weight), DickeState(state.n, np.eye(1, state.n + 1, k)[0])
 
 
 def compare_channels(
@@ -132,16 +147,13 @@ def compare_channels(
         mixture = tuple((0.5, branch) for branch in cat_branches(n, theta, phi))
     else:
         mixture = _dephased_mixture(evolved)
-    p_coherent = np.array([detection_probability(evolved, alpha, b) for b in betas])
-    p_mixture = np.array([mixture_probability(mixture, alpha, b) for b in betas])
-    p_no_cavity = np.array([detection_probability(prepared, alpha, b) for b in betas])
     return FringeSeries(
         n=n,
         alpha=alpha,
         betas=betas,
-        p_coherent=p_coherent,
-        p_mixture=p_mixture,
-        p_no_cavity=p_no_cavity,
+        p_coherent=detection_probability(evolved, alpha, betas),
+        p_mixture=mixture_probability(mixture, alpha, betas),
+        p_no_cavity=detection_probability(prepared, alpha, betas),
         theta=theta,
         phi=phi,
         tau=tau,

@@ -7,7 +7,6 @@ from conftest import naive_product_amps, random_dicke_amps
 
 from spincat import (
     DickeState,
-    NormalizationError,
     cat_state,
     coherent_state,
     embed,
@@ -86,15 +85,16 @@ def test_seed_propagates_to_ghz_amplitudes():
     assert np.max(np.abs(evolved.amps - ghz3.amps)) < 1e-10
 
 
-def test_cat_rejects_parallel_branches():
-    with pytest.raises(NormalizationError, match="not orthogonal"):
-        cat_state(3, 0.0, 0.0)
-
-
-def test_cat_rejects_nonorthogonal_branches():
-    # |cos(1.0)|^3 ~ 0.16 is far from orthogonal
-    with pytest.raises(NormalizationError):
-        cat_state(3, 1.0, 0.2)
+def test_cat_matches_propagation_for_every_theta():
+    # the two-branch form is exact where the branches overlap too:
+    # theta = 0 makes them parallel, |cos(1.0)|^3 ~ 0.16
+    thetas = np.concatenate([[0.01, 0.3, 1.0], np.linspace(0.0, PI, 9)])
+    for n in range(1, 41):
+        for theta in thetas:
+            cat = cat_state(n, theta, 0.2)
+            evolved = propagate(coherent_state(n, theta, 0.2), PI / 2)
+            assert np.max(np.abs(cat.amps - evolved.amps)) < 1e-10
+            assert abs(norm(cat) - 1.0) < 1e-12
 
 
 def test_cat_accepts_large_n_near_orthogonality():

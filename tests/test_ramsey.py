@@ -91,9 +91,13 @@ def test_fringe_flat_for_all_ground():
     ground = np.zeros(n + 1)
     ground[0] = 1.0
     state = DickeState(n, ground)
-    probs = [detection_probability(state, alpha, b) for b in beta_grid(-PI, PI, 64)]
+    betas = beta_grid(-PI, PI, 64)
+    probs = [detection_probability(state, alpha, b) for b in betas]
+    swept = detection_probability(state, alpha, betas)
+    assert np.max(np.abs(swept - probs)) <= 1e-15
     expected = math.cos(alpha / 2) ** (2 * n)
     np.testing.assert_allclose(probs, expected, atol=1e-12)
+    np.testing.assert_allclose(swept, expected, atol=1e-12)
 
 
 def test_fringe_single_lobe_coherent_input():
@@ -102,14 +106,19 @@ def test_fringe_single_lobe_coherent_input():
     state = coherent_state(n, PI / 2, phi)
     betas = beta_grid(-PI, PI, 128)
     probs = np.array([detection_probability(state, PI / 2, b) for b in betas])
+    swept = detection_probability(state, PI / 2, betas)
+    assert np.max(np.abs(swept - probs)) <= 1e-15
     expected = np.cos((betas - phi) / 2) ** (2 * n)
     assert np.max(np.abs(probs - expected)) < 1e-12
+    assert np.max(np.abs(swept - expected)) < 1e-12
 
 
 def test_fringe_cat_matches_product_space_sweep():
     cat = cat_state(3, PI / 2, -PI / 2)
     betas = beta_grid(-PI, PI, 256)
     probs = np.array([detection_probability(cat, PI / 2, b) for b in betas])
+    swept = detection_probability(cat, PI / 2, betas)
+    assert np.max(np.abs(swept - probs)) <= 1e-15
     ket = embed(cat)
     slow = np.array(
         [
@@ -118,6 +127,7 @@ def test_fringe_cat_matches_product_space_sweep():
         ]
     )
     assert np.max(np.abs(probs - slow)) < 1e-10
+    assert np.max(np.abs(swept - slow)) < 1e-10
 
 
 def test_mixture_single_branch():
@@ -144,7 +154,7 @@ def test_mixture_order_invariant():
     )
     forward = mixture_probability(branches, 1.0, 0.6)
     reverse = mixture_probability(branches[::-1], 1.0, 0.6)
-    assert forward == reverse  # fsum makes this exact
+    assert forward == reverse  # a + b == b + a exactly
 
 
 def test_compare_channels_flagship_gaps():
@@ -183,11 +193,19 @@ def _dephased_level(n, theta, alpha):
 
 def test_mixture_channel_matches_closed_forms_up_to_n40():
     rng = np.random.default_rng(44)
-    for _ in range(12):
-        n = int(rng.integers(1, 41))
-        theta, phi = rng.uniform(0, PI), rng.uniform(-PI, PI)
-        alpha, tau = rng.uniform(0, PI), rng.uniform(0, 2 * PI)
+    draws = [
+        (int(rng.integers(1, 41)), rng.uniform(0, PI), rng.uniform(-PI, PI),
+         rng.uniform(0, PI), rng.uniform(0, 2 * PI))
+        for _ in range(12)
+    ]
+    # the benchmark's atom counts reach 300
+    draws.append((300, 1.3, 0.4, 1.3, 0.7))
+    for n, theta, phi, alpha, tau in draws:
         cat = compare_channels(n, theta, phi, CAT_TIME, alpha, -PI, PI, 16)
+        no_cavity = [
+            abs(coherent_overlap(n, alpha, b, theta, phi)) ** 2 for b in cat.betas
+        ]
+        assert np.max(np.abs(cat.p_no_cavity - no_cavity)) < 1e-12
         # equal-weight mixture of |theta, phi - pi(n-1)/2> and |theta, phi - pi(n-3)/2>
         expected = [
             0.5
