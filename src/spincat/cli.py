@@ -3,11 +3,12 @@
 Subcommands: coherent, evolve, verify, ghz-fidelity, fringes. All outputs
 are pure functions of the flags; identical invocations produce
 byte-identical CSV. Exit statuses: 0 all checks pass, 1 check failure,
-2 usage or capacity error.
+2 usage or capacity error, 141 (128 + SIGPIPE) stdout closed by its reader.
 """
 
 import argparse
 import math
+import os
 import sys
 
 import numpy as np
@@ -27,6 +28,7 @@ from .ramsey import compare_channels, harmonic_magnitudes
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
+EXIT_BROKEN_PIPE = 141
 
 # Defaults, as multiples of pi where angular (the flagship parameter
 # point: theta = alpha = tau = pi/2, phi = -pi/2, beta over [-pi, pi)).
@@ -271,7 +273,15 @@ def main(argv=None) -> int:
         print("error: --tolerance must be > 0", file=sys.stderr)
         return EXIT_USAGE
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # the reader left; with fd 1 on devnull the flush at exit cannot raise
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, 1)
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -1,9 +1,11 @@
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import spincat
 from spincat import compare_channels
@@ -22,6 +24,28 @@ def test_module_entry_point():
     )
     assert result.returncode == 0, result.stderr
     assert "all n = 1..2 pass" in result.stdout
+
+
+# With stdout block-buffered, as in a shell pipeline, fringes fills the
+# buffer while it writes and coherent's one line reaches the pipe only at
+# the final flush.
+@pytest.mark.parametrize("command", ["fringes", "coherent"])
+def test_closed_stdout_exits_141_silently(command):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader closes at once, before the first write
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "spincat", command],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            cwd=Path(spincat.__file__).parents[1],
+            env={k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"},
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert result.stderr == b""
+    assert result.returncode == 141
 
 
 def _amps_from_stdout(capsys):
